@@ -11,6 +11,7 @@ package softpipe_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"softpipe"
@@ -19,6 +20,7 @@ import (
 	"softpipe/internal/depgraph"
 	"softpipe/internal/hier"
 	"softpipe/internal/ir"
+	"softpipe/internal/lang"
 	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
 	"softpipe/internal/sim"
@@ -393,7 +395,7 @@ func BenchmarkAblationClosure_Symbolic(b *testing.B) {
 			comp = c
 		}
 	}
-	floor, err := depgraph.RecurrenceMIIOracle(g)
+	floor, err := depgraph.RecurrenceMIIOracle(g, depgraph.TarjanSCC(g))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -418,7 +420,7 @@ func BenchmarkAblationClosure_Symbolic(b *testing.B) {
 // interval.
 func BenchmarkAblationClosure_Recompute(b *testing.B) {
 	g := closureGraph()
-	floor, err := depgraph.RecurrenceMIIOracle(g)
+	floor, err := depgraph.RecurrenceMIIOracle(g, depgraph.TarjanSCC(g))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -500,6 +502,51 @@ func BenchmarkCompileLivermore(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkAnalyzeBodySize prices the depgraph preprocessing (Build
+// plus Analyze: components, recurrence bound, closures) of one loop of n
+// chained statements all folding into the loop-carried scalar s, so a
+// single component spans the body.  It shows how analysis time grows
+// with body size.
+func BenchmarkAnalyzeBodySize(b *testing.B) {
+	m := machine.Warp()
+	for _, n := range []int{8, 16, 32, 64, 128} {
+		n := n
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var src strings.Builder
+			fmt.Fprintf(&src, "program rec%d;\nvar x: array [0..%d] of real;\n    s: real;\n    k: int;\nbegin\n  s := 0.0;\n  for k := 0 to 99 do begin\n", n, 99+n)
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&src, "    s := s * %s + x[k+%d];\n", []string{"0.5", "0.25", "0.75", "1.5"}[i%4], i)
+			}
+			src.WriteString("  end;\nend.\n")
+			p, err := lang.Compile(src.String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var loop *ir.LoopStmt
+			for _, st := range p.Body.Stmts {
+				if l, ok := st.(*ir.LoopStmt); ok {
+					loop = l
+				}
+			}
+			ops, _ := loop.Body.Ops()
+			nodes := make([]*depgraph.Node, len(ops))
+			for i, op := range ops {
+				nodes[i] = depgraph.MustNodeFromOp(m, op)
+			}
+			var a *depgraph.Analysis
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a, err = depgraph.Analyze(depgraph.Build(nodes, loop.ID), m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(a.Graph.Nodes)), "nodes")
+			b.ReportMetric(float64(len(a.Graph.Edges)), "edges")
+			b.ReportMetric(float64(a.RecMII), "RecMII")
+		})
 	}
 }
 

@@ -124,7 +124,7 @@ func TestAccumulatorRecurrence(t *testing.T) {
 	if a.RecMII != 7 {
 		t.Errorf("RecMII = %d, want 7 (fadd latency)", a.RecMII)
 	}
-	oracle, err := RecurrenceMIIOracle(g)
+	oracle, err := RecurrenceMIIOracle(g, TarjanSCC(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestMemoryCarriedDistance(t *testing.T) {
 	}
 	// Cycle: load -(3)-> fadd -(7)-> store -(1, w2)-> load: d=11, p=2 → ceil=6.
 	// Plus pointer recurrences (II≥1).  Oracle must agree.
-	oracle, err := RecurrenceMIIOracle(g)
+	oracle, err := RecurrenceMIIOracle(g, TarjanSCC(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,39 +251,19 @@ func TestZeroDistanceCycleRejected(t *testing.T) {
 }
 
 // TestClosureMatchesOracle cross-checks the symbolic closure against
-// direct Bellman-Ford longest paths on random strongly connected graphs.
+// direct Bellman-Ford longest paths on random strongly connected graphs,
+// after the three-way reference check (checkReferences) with the float
+// adds' resource bound as the Analyze floor.
 func TestClosureMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := machine.Warp()
 	for trial := 0; trial < 500; trial++ {
-		n := 2 + rng.Intn(5)
-		g := &Graph{}
-		p := ir.NewProgram("rnd")
-		for i := 0; i < n; i++ {
-			op := p.NewOp(machine.ClassFAdd)
-			r := p.NewReg(ir.KindFloat)
-			op.Dst = r
-			op.Src = []ir.VReg{r, r}
-			nd := MustNodeFromOp(m, op)
-			nd.Index = i
-			g.Nodes = append(g.Nodes, nd)
+		g := randomRingGraph(rng, m)
+		res, err := ResourceMII(g, m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Ring to guarantee strong connectivity, plus random chords.
-		for i := 0; i < n; i++ {
-			omega := 0
-			if i == n-1 {
-				omega = 1 + rng.Intn(2)
-			}
-			g.Edges = append(g.Edges, Edge{From: i, To: (i + 1) % n, Delay: 1 + rng.Intn(6), Omega: omega})
-		}
-		for k := 0; k < rng.Intn(4); k++ {
-			g.Edges = append(g.Edges, Edge{
-				From:  rng.Intn(n),
-				To:    rng.Intn(n),
-				Delay: rng.Intn(8) - 1,
-				Omega: rng.Intn(3),
-			})
-		}
+		checkReferences(t, g, res, len(g.Nodes))
 		scc := TarjanSCC(g)
 		if len(scc.Components) != 1 {
 			continue
@@ -292,13 +272,13 @@ func TestClosureMatchesOracle(t *testing.T) {
 		if err != nil {
 			// Zero-distance positive cycle generated; oracle must
 			// agree that every II is infeasible.
-			if _, orErr := RecurrenceMIIOracle(g); orErr == nil {
+			if _, orErr := RecurrenceMIIOracle(g, TarjanSCC(g)); orErr == nil {
 				t.Fatalf("trial %d: closure rejected but oracle accepted", trial)
 			}
 			continue
 		}
 		recMII := cl.RecurrenceMII()
-		oracle, err := RecurrenceMIIOracle(g)
+		oracle, err := RecurrenceMIIOracle(g, TarjanSCC(g))
 		if err != nil {
 			t.Fatalf("trial %d: oracle failed after closure succeeded: %v", trial, err)
 		}

@@ -114,7 +114,7 @@ func Analyze(g *Graph, m *machine.Machine) (*Analysis, error) {
 		// (binary search over positive-cycle feasibility); the symbolic
 		// closures are then built once, pruned against the full MII
 		// floor, which keeps their Pareto frontiers tiny.
-		rec, err := RecurrenceMIIOracle(g)
+		rec, err := RecurrenceMIIOracle(g, a.SCC)
 		if err != nil {
 			return nil, err
 		}

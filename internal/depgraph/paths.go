@@ -104,7 +104,45 @@ const maxWind = 64
 // NewClosure solves the all-points longest path problem for component
 // comp of graph g, with the initiation interval symbolic.  Evaluations
 // are valid for intervals ≥ sMin (pass 1 when no better bound is known).
+//
+// It runs Floyd–Warshall passes over the Pareto semiring.  A pass that
+// leaves no diagonal pair with D' > 0 ends the loop: every cycle is then
+// dominated by the empty path (D' ≤ 0, P ≥ 0), so appending a cycle to a
+// path only yields a dominated pair and a further pass cannot change
+// anything.  With sMin at or above the recurrence MII that holds after
+// the first pass; below it, profitable cycles are traversed again until
+// the frontiers stop changing (up to the winding cap).
 func NewClosure(g *Graph, comp []int, sMin int) (*Closure, error) {
+	c, wind, err := seedClosure(g, comp, sMin)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		changed := c.relax(wind)
+		positive := false
+		for i := range c.Dist {
+			for _, p := range c.Dist[i][i] {
+				// A cycle with iteration difference 0 and positive delay
+				// is an illegal program (value needed before it is
+				// produced).  P=0 pairs are untouched by the transform,
+				// and another pass would only grow their delay.
+				if p.P == 0 && p.D > 0 {
+					return nil, fmt.Errorf("depgraph: zero-distance dependence cycle through node %d (delay %d)", c.Members[i], p.D)
+				}
+				positive = positive || p.D > 0
+			}
+		}
+		if !changed || !positive {
+			return c, nil
+		}
+	}
+}
+
+// seedClosure allocates the closure of comp and seeds it with the edges
+// internal to the component.  It also returns the component's winding
+// cap: the sum of its edge omegas bounds the iteration difference of any
+// simple path.
+func seedClosure(g *Graph, comp []int, sMin int) (*Closure, int, error) {
 	if sMin < 1 {
 		sMin = 1
 	}
@@ -117,23 +155,7 @@ func NewClosure(g *Graph, comp []int, sMin int) (*Closure, error) {
 	for i := range c.Dist {
 		c.Dist[i] = make([]PairSet, n)
 	}
-	// Per-component winding cap: the sum of edge omegas bounds the
-	// iteration difference of any simple path.
-	cap := 0
-	for _, e := range g.Edges {
-		if _, ok1 := c.Pos[e.From]; ok1 {
-			if _, ok2 := c.Pos[e.To]; ok2 {
-				cap += e.Omega
-			}
-		}
-	}
-	if cap < 1 {
-		cap = 1
-	}
-	if cap > maxWind {
-		cap = maxWind
-	}
-	// Seed with edges internal to the component.
+	wind := 0
 	for _, e := range g.Edges {
 		i, ok1 := c.Pos[e.From]
 		j, ok2 := c.Pos[e.To]
@@ -141,53 +163,49 @@ func NewClosure(g *Graph, comp []int, sMin int) (*Closure, error) {
 			continue
 		}
 		if e.Omega == 0 && e.From == e.To && e.Delay > 0 {
-			return nil, fmt.Errorf("depgraph: node %d depends on itself within one iteration (delay %d)", e.From, e.Delay)
+			return nil, 0, fmt.Errorf("depgraph: node %d depends on itself within one iteration (delay %d)", e.From, e.Delay)
 		}
 		c.Dist[i][j], _ = insertPair(c.Dist[i][j], DistPair{D: e.Delay - sMin*e.Omega, P: e.Omega})
+		wind += e.Omega
 	}
-	// Relax to fixpoint (Floyd–Warshall over the Pareto semiring; repeat
-	// until stable because cycles can be profitable to traverse more
-	// than once up to the winding cap).
-	for {
-		changed := false
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				if len(c.Dist[i][k]) == 0 {
+	if wind < 1 {
+		wind = 1
+	}
+	if wind > maxWind {
+		wind = maxWind
+	}
+	return c, wind, nil
+}
+
+// relax runs one Floyd–Warshall pass, dropping paths whose iteration
+// difference exceeds wind, and reports whether any frontier changed.
+func (c *Closure) relax(wind int) bool {
+	n := len(c.Dist)
+	changed := false
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			if len(c.Dist[i][k]) == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if len(c.Dist[k][j]) == 0 {
 					continue
 				}
-				for j := 0; j < n; j++ {
-					if len(c.Dist[k][j]) == 0 {
-						continue
-					}
-					for _, a := range c.Dist[i][k] {
-						for _, b := range c.Dist[k][j] {
-							p := DistPair{D: a.D + b.D, P: a.P + b.P}
-							if p.P > cap {
-								continue
-							}
-							var ch bool
-							c.Dist[i][j], ch = insertPair(c.Dist[i][j], p)
-							changed = changed || ch
+				for _, a := range c.Dist[i][k] {
+					for _, b := range c.Dist[k][j] {
+						p := DistPair{D: a.D + b.D, P: a.P + b.P}
+						if p.P > wind {
+							continue
 						}
+						var ch bool
+						c.Dist[i][j], ch = insertPair(c.Dist[i][j], p)
+						changed = changed || ch
 					}
 				}
 			}
 		}
-		if !changed {
-			break
-		}
 	}
-	// A cycle with iteration difference 0 and positive delay is an
-	// illegal program (value needed before it is produced).  P=0 pairs
-	// are untouched by the transform.
-	for i := range c.Dist {
-		for _, p := range c.Dist[i][i] {
-			if p.P == 0 && p.D > 0 {
-				return nil, fmt.Errorf("depgraph: zero-distance dependence cycle through node %d (delay %d)", c.Members[i], p.D)
-			}
-		}
-	}
-	return c, nil
+	return changed
 }
 
 // DistAt returns the longest path distance from node u to node v (graph
@@ -296,10 +314,12 @@ func ceilDiv(a, b int) int {
 	return q
 }
 
-// --- Concrete oracles (used by tests and the ablation benches) ---------
+// --- Concrete oracles ---------------------------------------------------
 
 // LongestPathsAt computes all-pairs longest paths over the whole graph at
-// a concrete initiation interval by Bellman–Ford-style relaxation.
+// a concrete initiation interval by Bellman–Ford-style relaxation.  It
+// is O(V²·E) time and O(V²) memory, kept as the test reference and as
+// the recompute-per-interval ablation (BenchmarkAblationClosure_Recompute).
 // It returns ok=false if a positive cycle exists (ii is infeasible).
 func LongestPathsAt(g *Graph, ii int) (dist [][]int, ok bool) {
 	n := len(g.Nodes)
@@ -338,26 +358,66 @@ func LongestPathsAt(g *Graph, ii int) (dist [][]int, ok bool) {
 }
 
 // RecurrenceMIIOracle finds the recurrence MII by binary search over the
-// feasibility predicate "no positive cycle at ii".
-func RecurrenceMIIOracle(g *Graph) (int, error) {
-	// Upper bound: total positive delay.
+// feasibility predicate "no positive cycle at ii".  scc is g's component
+// decomposition: cycles lie inside components, so only intra-component
+// edges are relaxed and only their delays bound the search.
+func RecurrenceMIIOracle(g *Graph, scc *SCC) (int, error) {
+	var arcs []Edge
 	hi := 1
 	for _, e := range g.Edges {
+		if scc.Comp[e.From] != scc.Comp[e.To] {
+			continue
+		}
+		arcs = append(arcs, e)
 		if e.Delay > 0 {
 			hi += e.Delay
 		}
 	}
-	if _, ok := LongestPathsAt(g, hi); !ok {
+	// A simple path inside a component visits at most its size in nodes.
+	passes := 1
+	for _, comp := range scc.Components {
+		if len(comp) > passes {
+			passes = len(comp)
+		}
+	}
+	dist := make([]int, len(g.Nodes))
+	// At hi every cycle with a positive iteration difference is negative,
+	// so only a zero-distance positive cycle can make hi infeasible.
+	if hasPositiveCycle(arcs, dist, passes, hi) {
 		return 0, fmt.Errorf("depgraph: dependence cycle with zero iteration distance")
 	}
 	lo := 1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if _, ok := LongestPathsAt(g, mid); ok {
+		if !hasPositiveCycle(arcs, dist, passes, mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
 	return lo, nil
+}
+
+// hasPositiveCycle reports whether the arcs, weighted delay − ii·omega,
+// contain a positive cycle.  It runs Bellman–Ford longest paths from a
+// virtual source joined to every node by a zero-weight edge (every dist
+// starts at 0): without a positive cycle the distances settle within
+// passes rounds, where passes bounds the nodes on any simple path.
+func hasPositiveCycle(arcs []Edge, dist []int, passes, ii int) bool {
+	for i := range dist {
+		dist[i] = 0
+	}
+	for pass := 0; pass < passes; pass++ {
+		changed := false
+		for _, e := range arcs {
+			if d := dist[e.From] + e.Delay - ii*e.Omega; d > dist[e.To] {
+				dist[e.To] = d
+				changed = true
+			}
+		}
+		if !changed {
+			return false
+		}
+	}
+	return true
 }

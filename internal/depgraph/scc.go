@@ -8,14 +8,21 @@ package depgraph
 type SCC struct {
 	Components [][]int
 	Comp       []int
+	// cyclic[c] reports that component c lies on a dependence cycle:
+	// it has several members or its single member has a self-loop.
+	cyclic []bool
 }
 
 // TarjanSCC runs Tarjan's algorithm on g.
 func TarjanSCC(g *Graph) *SCC {
 	n := len(g.Nodes)
 	adj := make([][]int, n)
+	selfLoop := make([]bool, n)
 	for _, e := range g.Edges {
 		adj[e.From] = append(adj[e.From], e.To)
+		if e.From == e.To {
+			selfLoop[e.From] = true
+		}
 	}
 
 	s := &SCC{Comp: make([]int, n)}
@@ -91,6 +98,7 @@ func TarjanSCC(g *Graph) *SCC {
 				}
 				sortInts(comp)
 				s.Components = append(s.Components, comp)
+				s.cyclic = append(s.cyclic, len(comp) > 1 || selfLoop[v])
 			}
 		}
 	}
@@ -106,17 +114,8 @@ func sortInts(a []int) {
 }
 
 // IsTrivial reports whether component c is a single node without a
-// self-loop (i.e. not part of any dependence cycle).
+// self-loop (i.e. not part of any dependence cycle).  g is the graph the
+// components were computed from; the answer was recorded then.
 func (s *SCC) IsTrivial(g *Graph, c int) bool {
-	comp := s.Components[c]
-	if len(comp) > 1 {
-		return false
-	}
-	v := comp[0]
-	for _, e := range g.Edges {
-		if e.From == v && e.To == v {
-			return false
-		}
-	}
-	return true
+	return !s.cyclic[c]
 }
